@@ -85,6 +85,43 @@ func TestCLIJSONOutput(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsBadFlags: an unknown -cost or -format value fails with
+// exit 1 and names the accepted values instead of silently running the
+// default.
+func TestCLIRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "sqlbarber")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/sqlbarber").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	cases := []struct {
+		flag, want string
+	}{
+		{"-cost", `sqlbarber: unknown cost "bogus" (want cardinality, plancost, or rows)`},
+		{"-format", `sqlbarber: unknown format "bogus" (want sql or json)`},
+	}
+	for _, c := range cases {
+		t.Run(c.flag, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(bin, "-sf", "0.01", "-queries", "5", c.flag, "bogus")
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+				t.Fatalf("%s bogus: want exit code 1, got %v\n%s", c.flag, err, stderr.String())
+			}
+			if got := strings.TrimSpace(stderr.String()); got != c.want {
+				t.Fatalf("%s bogus: stderr %q, want %q", c.flag, got, c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("%s bogus wrote a workload:\n%.200s", c.flag, stdout.String())
+			}
+		})
+	}
+}
+
 // TestCLIBarbervet builds the repo linter and checks both halves of its
 // contract: the real tree passes clean (exit 0) and the badpkg fixture —
 // which violates every rule — fails with a non-zero exit naming each code.

@@ -56,6 +56,22 @@ func main() {
 	)
 	flag.Parse()
 
+	var kind engine.CostKind
+	switch strings.ToLower(*costKind) {
+	case "cardinality":
+		kind = engine.Cardinality
+	case "plancost":
+		kind = engine.PlanCost
+	case "rows":
+		kind = engine.RowsProcessed
+	default:
+		fatal("unknown cost %q (want cardinality, plancost, or rows)", *costKind)
+	}
+	*format = strings.ToLower(*format)
+	if *format != "sql" && *format != "json" {
+		fatal("unknown format %q (want sql or json)", *format)
+	}
+
 	var db *engine.DB
 	switch strings.ToLower(*dataset) {
 	case "tpch":
@@ -64,14 +80,6 @@ func main() {
 		db = engine.OpenIMDB(*seed, *sf)
 	default:
 		fatal("unknown dataset %q (want tpch or imdb)", *dataset)
-	}
-
-	kind := engine.Cardinality
-	switch strings.ToLower(*costKind) {
-	case "plancost":
-		kind = engine.PlanCost
-	case "rows":
-		kind = engine.RowsProcessed
 	}
 
 	var target *stats.TargetDistribution
@@ -168,16 +176,13 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "json":
+	if *format == "json" {
 		m := workload.NewManifest(kind.String(), target, res.Workload)
 		if err := m.WriteJSON(w); err != nil {
 			fatal("writing JSON: %v", err)
 		}
-	default:
-		if err := workload.WriteSQL(w, kind.String(), res.Workload); err != nil {
-			fatal("writing SQL: %v", err)
-		}
+	} else if err := workload.WriteSQL(w, kind.String(), res.Workload); err != nil {
+		fatal("writing SQL: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "generated %d queries | wasserstein distance %.2f | %d templates | %d DBMS calls | %s | LLM: %dK tokens $%.2f\n",
 		len(res.Workload), res.Distance, len(res.Templates), res.DBCalls, res.Elapsed.Round(1e6),

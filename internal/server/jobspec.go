@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"sqlbarber/internal/core"
@@ -46,6 +47,7 @@ type JobRequest struct {
 	specs  []spec.Spec
 	policy *core.ResiliencePolicy
 	kind   engine.CostKind
+	tgt    *stats.TargetDistribution
 }
 
 func badReq(format string, args ...any) error {
@@ -144,12 +146,43 @@ func (r *JobRequest) normalize() error {
 		}
 		r.policy = &policy
 	}
+	r.tgt = r.buildTarget()
+	if err := checkTarget(r.tgt, r.Queries); err != nil {
+		return badReq("%s target over [0, %v] with %d intervals: %v", r.Distribution, r.RangeHi, r.Intervals, err)
+	}
 	return nil
 }
 
-// target builds the request's cost-target distribution. Pure function of the
-// normalized request, so every pool size sees the same target.
-func (r *JobRequest) target() *stats.TargetDistribution {
+// checkTarget rejects a degenerate target, such as the all-zero counts a
+// distribution yields when its weights underflow to NaN: the edges must be
+// finite and strictly increasing, and the counts non-negative and summing
+// to queries.
+func checkTarget(tgt *stats.TargetDistribution, queries int) error {
+	if len(tgt.Intervals) == 0 || len(tgt.Counts) != len(tgt.Intervals) {
+		return fmt.Errorf("%d intervals for %d counts", len(tgt.Intervals), len(tgt.Counts))
+	}
+	for i, iv := range tgt.Intervals {
+		if math.IsNaN(iv.Lo) || math.IsInf(iv.Lo, 0) || math.IsNaN(iv.Hi) || math.IsInf(iv.Hi, 0) ||
+			!(iv.Lo < iv.Hi) || (i > 0 && iv.Lo < tgt.Intervals[i-1].Hi) {
+			return fmt.Errorf("interval %d [%v, %v) breaks finite increasing edges", i, iv.Lo, iv.Hi)
+		}
+	}
+	total := 0
+	for i, c := range tgt.Counts {
+		if c < 0 {
+			return fmt.Errorf("interval %d has count %d", i, c)
+		}
+		total += c
+	}
+	if total != queries {
+		return fmt.Errorf("counts sum to %d, want %d", total, queries)
+	}
+	return nil
+}
+
+// buildTarget builds the request's cost-target distribution. Pure function
+// of the normalized request, so every pool size sees the same target.
+func (r *JobRequest) buildTarget() *stats.TargetDistribution {
 	switch r.Distribution {
 	case "normal":
 		return stats.Normal(0, r.RangeHi, r.Intervals, r.Queries, r.RangeHi/2, r.RangeHi/5)

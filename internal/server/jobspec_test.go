@@ -3,9 +3,13 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/stats"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -31,8 +35,8 @@ func TestNormalizeDefaults(t *testing.T) {
 	if r.policy != nil {
 		t.Fatalf("normalize invented a resilience policy: %+v", r.policy)
 	}
-	if r.target() == nil {
-		t.Fatalf("target() = nil")
+	if r.tgt == nil {
+		t.Fatalf("normalize left the target nil")
 	}
 }
 
@@ -96,9 +100,9 @@ func TestEveryDistributionBuildsATarget(t *testing.T) {
 		if err := r.normalize(); err != nil {
 			t.Fatalf("%s: normalize: %v", dist, err)
 		}
-		tgt := r.target()
+		tgt := r.tgt
 		if tgt == nil {
-			t.Fatalf("%s: target() = nil", dist)
+			t.Fatalf("%s: normalize left the target nil", dist)
 		}
 		total := 0
 		for _, c := range tgt.Counts {
@@ -106,6 +110,64 @@ func TestEveryDistributionBuildsATarget(t *testing.T) {
 		}
 		if total == 0 {
 			t.Errorf("%s: target has zero total count", dist)
+		}
+	}
+}
+
+// TestNormalizeRejectsDegenerateTargets: a subnormal range_hi drives the
+// lognormal weights to NaN. normalize must answer within a deadline. It may
+// accept a target only if the target is well formed, and must reject every
+// NaN-weighted one with ErrBadJobRequest. The interval counts matter: at 8
+// intervals the old code returned counts of about -2^63, at 7 it spun in
+// FromWeights about 2^63 times.
+func TestNormalizeRejectsDegenerateTargets(t *testing.T) {
+	nanWeighted := map[string]bool{"snowset-card": true, "snowset-cost": true, "redset": true}
+	for _, dist := range []string{"uniform", "normal", "snowset-card", "snowset-cost", "redset"} {
+		for _, intervals := range []int{7, 8} {
+			t.Run(fmt.Sprintf("%s/%d", dist, intervals), func(t *testing.T) {
+				r := JobRequest{Distribution: dist, Intervals: intervals, RangeHi: 1e-310}
+				done := make(chan error, 1)
+				go func() { done <- r.normalize() }()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatal("normalize did not return within 5s")
+				}
+				switch {
+				case err == nil && nanWeighted[dist]:
+					t.Fatalf("normalize accepted a NaN-weighted target: %v", r.tgt.Counts)
+				case err == nil:
+					if cerr := checkTarget(r.tgt, r.Queries); cerr != nil {
+						t.Fatalf("normalize accepted a bad target: %v", cerr)
+					}
+				case !errors.Is(err, ErrBadJobRequest):
+					t.Fatalf("normalize = %v, want ErrBadJobRequest", err)
+				}
+			})
+		}
+	}
+}
+
+func TestCheckTarget(t *testing.T) {
+	good := stats.Uniform(0, 100, 4, 10)
+	if err := checkTarget(good, 10); err != nil {
+		t.Fatalf("uniform target rejected: %v", err)
+	}
+	bad := map[string]func(d *stats.TargetDistribution){
+		"negative count": func(d *stats.TargetDistribution) { d.Counts[0], d.Counts[1] = -1, d.Counts[1]+d.Counts[0]+1 },
+		"short total":    func(d *stats.TargetDistribution) { d.Counts[0]-- },
+		"NaN edge":       func(d *stats.TargetDistribution) { d.Intervals[2].Hi = math.NaN() },
+		"infinite edge":  func(d *stats.TargetDistribution) { d.Intervals[3].Hi = math.Inf(1) },
+		"empty interval": func(d *stats.TargetDistribution) { d.Intervals[1].Hi = d.Intervals[1].Lo },
+		"overlap":        func(d *stats.TargetDistribution) { d.Intervals[2].Lo = d.Intervals[1].Lo },
+		"no intervals":   func(d *stats.TargetDistribution) { d.Intervals, d.Counts = nil, nil },
+	}
+	for name, mutate := range bad {
+		d := good.Clone()
+		mutate(d)
+		if err := checkTarget(d, 10); err == nil {
+			t.Errorf("%s: checkTarget accepted %+v", name, d)
 		}
 	}
 }

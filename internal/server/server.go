@@ -126,7 +126,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	default:
 		db = engine.OpenTPCH(req.Seed, req.ScaleFactor)
 	}
-	target := req.target()
+	target := req.tgt
 	sink := obs.OnEvent(obs.Nop, func(e obs.Event) {
 		if e.Kind == obs.KindProgress {
 			j.publish("progress", map[string]any{

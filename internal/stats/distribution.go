@@ -44,7 +44,9 @@ func FromWeights(ivs Intervals, weights []float64, total int) *TargetDistributio
 		sum += w
 	}
 	counts := make([]int, len(ivs))
-	if sum == 0 || total <= 0 {
+	// A non-finite sum (a NaN or infinite weight) has no proportions to
+	// allocate by, so it gets the zero-sum answer: no counts at all.
+	if sum == 0 || math.IsNaN(sum) || math.IsInf(sum, 0) || total <= 0 {
 		return &TargetDistribution{Intervals: ivs, Counts: counts}
 	}
 	type rem struct {

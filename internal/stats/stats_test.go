@@ -122,6 +122,26 @@ func TestFromWeightsProperty(t *testing.T) {
 	}
 }
 
+// TestFromWeightsNonFinite: a NaN or infinite weight sum gets the zero-sum
+// answer. Before, NaN weights made int(NaN) counts of about -2^63, or left
+// the remainder loop spinning about 2^63 times.
+func TestFromWeightsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, n := range []int{7, 8} {
+			ivs := SplitRange(0, 100, n)
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = 1
+			}
+			w[n/2] = bad
+			d := FromWeights(ivs, w, 100)
+			if d.Total() != 0 {
+				t.Errorf("weight %v, %d intervals: counts %v, want all zero", bad, n, d.Counts)
+			}
+		}
+	}
+}
+
 func TestUniformAndNormalShapes(t *testing.T) {
 	u := Uniform(0, 1000, 10, 1000)
 	for _, c := range u.Counts {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sqlbarber/internal/catalog"
 	"sqlbarber/internal/sqltypes"
@@ -76,8 +77,8 @@ func Load(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: schema length: %w", err)
 	}
-	schemaJSON := make([]byte, schemaLen)
-	if _, err := io.ReadFull(br, schemaJSON); err != nil {
+	schemaJSON, err := readBytes(br, schemaLen)
+	if err != nil {
 		return nil, fmt.Errorf("storage: schema body: %w", err)
 	}
 	var schema catalog.Schema
@@ -92,7 +93,9 @@ func Load(r io.Reader) (*Database, error) {
 		}
 		tbl := db.Table(meta.Name)
 		width := len(meta.Columns)
-		tbl.Rows = make([]Row, 0, n)
+		// n comes from the file: cap the up-front allocation and let a
+		// corrupt count fail on the short stream.
+		tbl.Rows = make([]Row, 0, min(n, maxPrealloc))
 		for i := uint64(0); i < n; i++ {
 			row := make(Row, width)
 			for c := 0; c < width; c++ {
@@ -106,6 +109,29 @@ func Load(r io.Reader) (*Database, error) {
 		}
 	}
 	return db, nil
+}
+
+// maxPrealloc bounds what Load allocates up front on a length read from the
+// file, in elements or bytes.
+const maxPrealloc = 1 << 16
+
+// readBytes reads exactly n bytes, growing the buffer as data arrives rather
+// than trusting n, so a corrupt length fails with io.ErrUnexpectedEOF instead
+// of a huge allocation.
+func readBytes(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, maxPrealloc))
+	for uint64(len(buf)) < n {
+		start := len(buf)
+		step := int(min(n-uint64(start), maxPrealloc))
+		buf = slices.Grow(buf, step)[:start+step]
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
@@ -179,8 +205,8 @@ func readValue(r *bufio.Reader) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readBytes(r, n)
+		if err != nil {
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewString(string(buf)), nil

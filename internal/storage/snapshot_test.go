@@ -2,6 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,6 +84,38 @@ func TestLoadTruncated(t *testing.T) {
 	data := buf.Bytes()
 	if _, err := Load(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("truncated snapshot must be rejected")
+	}
+}
+
+// TestLoadCorruptHeader: a length read from the file must not size an
+// allocation before the data behind it has arrived. A row count or schema
+// length of 1<<62 used to panic with "makeslice: cap out of range"; now the
+// short stream surfaces as the wrapped read error.
+func TestLoadCorruptHeader(t *testing.T) {
+	schemaJSON, err := json.Marshal(buildDB(t).Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	header := slices.Concat([]byte(snapshotMagic), uvarint(uint64(len(schemaJSON))), schemaJSON)
+	cases := []struct {
+		name, wantErr string
+		data          []byte
+	}{
+		{"schema length", "storage: schema body: unexpected EOF",
+			slices.Concat([]byte(snapshotMagic), uvarint(1<<62), []byte("{}"))},
+		{"row count", "storage: data row 0 col 0: EOF",
+			slices.Concat(header, uvarint(1<<62))},
+		{"string length", "storage: data row 0 col 1: unexpected EOF",
+			slices.Concat(header, uvarint(1<<62), []byte{tagInt, 2, tagString}, uvarint(1<<62), []byte("ab"))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(c.data))
+			if err == nil || err.Error() != c.wantErr {
+				t.Fatalf("Load = %v, want %q", err, c.wantErr)
+			}
+		})
 	}
 }
 

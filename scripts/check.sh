@@ -15,7 +15,7 @@
 #                              changes goroutine interleavings enough to shake
 #                              out scheduling-dependent results the default
 #                              pass can miss
-#   5. go test -fuzz (sqlparser smoke)
+#   5. go test -fuzz (sqlparser and ANALYZE smokes)
 #                            — 10-second native-fuzzing smokes over the two
 #                              sqlparser fuzz targets: FuzzParse checks the
 #                              render ∘ parse round-trip fixpoint on arbitrary
@@ -23,7 +23,12 @@
 #                              placeholder substitution never corrupts
 #                              adversarial neighbouring string literals. At
 #                              ~25k execs/sec per target this explores ~250k
-#                              mutated inputs per run beyond the seed corpus
+#                              mutated inputs per run beyond the seed corpus.
+#                              A third smoke, storage's FuzzAnalyzeDifferential,
+#                              requires the sort-and-scan ANALYZE to return
+#                              exactly the hash-map reference's statistics on
+#                              fuzzed columns (ties, ±0, NaN, ±Inf, NULLs,
+#                              mixed kinds, booleans)
 #   6. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -117,9 +122,10 @@ go test -race -shuffle=on ./...
 echo "== GOMAXPROCS=2 go test -race ./... =="
 GOMAXPROCS=2 go test -race ./...
 
-echo "== go test -fuzz (sqlparser fuzz smoke, 10s per target) =="
+echo "== go test -fuzz (sqlparser and ANALYZE fuzz smokes, 10s per target) =="
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlparser
 go test -run '^$' -fuzz '^FuzzPlaceholderRewrite$' -fuzztime 10s ./internal/sqlparser
+go test -run '^$' -fuzz '^FuzzAnalyzeDifferential$' -fuzztime 10s ./internal/storage
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
