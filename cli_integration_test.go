@@ -85,9 +85,9 @@ func TestCLIJSONOutput(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBadFlags: an unknown -cost or -format value fails with
-// exit 1 and names the accepted values instead of silently running the
-// default.
+// TestCLIRejectsBadFlags: an unknown -cost or -format value, or a numeric
+// flag out of range, fails with exit 1 and a message naming the flag
+// instead of panicking or silently running a degenerate workload.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -97,26 +97,36 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	cases := []struct {
-		flag, want string
+		name string
+		args []string
+		want string
 	}{
-		{"-cost", `sqlbarber: unknown cost "bogus" (want cardinality, plancost, or rows)`},
-		{"-format", `sqlbarber: unknown format "bogus" (want sql or json)`},
+		{"-cost", []string{"-cost", "bogus"}, `sqlbarber: unknown cost "bogus" (want cardinality, plancost, or rows)`},
+		{"-format", []string{"-format", "bogus"}, `sqlbarber: unknown format "bogus" (want sql or json)`},
+		{"-sf", []string{"-sf", "-1"}, `sqlbarber: -sf -1 must be finite and > 0`},
+		{"-queries", []string{"-queries", "0"}, `sqlbarber: -queries 0 must be >= 1`},
+		{"-intervals", []string{"-intervals", "0"}, `sqlbarber: -intervals 0 must be >= 1`},
+		{"-range", []string{"-range", "-5"}, `sqlbarber: -range -5 must be finite and > 0`},
+		// A range so small the redset weights underflow: the target check
+		// shared with sqlbarberd rejects the all-zero counts.
+		{"-dist", []string{"-range", "1e-310", "-dist", "redset"},
+			`sqlbarber: redset target over [0, 1e-310] with 10 intervals: counts sum to 0, want 5`},
 	}
 	for _, c := range cases {
-		t.Run(c.flag, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, "-sf", "0.01", "-queries", "5", c.flag, "bogus")
+			cmd := exec.Command(bin, append([]string{"-sf", "0.01", "-queries", "5"}, c.args...)...)
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()
 			var exitErr *exec.ExitError
 			if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-				t.Fatalf("%s bogus: want exit code 1, got %v\n%s", c.flag, err, stderr.String())
+				t.Fatalf("%v: want exit code 1, got %v\n%s", c.args, err, stderr.String())
 			}
 			if got := strings.TrimSpace(stderr.String()); got != c.want {
-				t.Fatalf("%s bogus: stderr %q, want %q", c.flag, got, c.want)
+				t.Fatalf("%v: stderr %q, want %q", c.args, got, c.want)
 			}
 			if stdout.Len() != 0 {
-				t.Fatalf("%s bogus wrote a workload:\n%.200s", c.flag, stdout.String())
+				t.Fatalf("%v wrote a workload:\n%.200s", c.args, stdout.String())
 			}
 		})
 	}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -72,14 +73,20 @@ func main() {
 		fatal("unknown format %q (want sql or json)", *format)
 	}
 
-	var db *engine.DB
-	switch strings.ToLower(*dataset) {
-	case "tpch":
-		db = engine.OpenTPCH(*seed, *sf)
-	case "imdb":
-		db = engine.OpenIMDB(*seed, *sf)
-	default:
-		fatal("unknown dataset %q (want tpch or imdb)", *dataset)
+	// Numeric flags are checked before anything is built: a bad value must
+	// fail loudly here, not panic in a target builder or silently turn into
+	// a degenerate run.
+	if !(*sf > 0) || math.IsInf(*sf, 0) {
+		fatal("-sf %v must be finite and > 0", *sf)
+	}
+	if *queries < 1 {
+		fatal("-queries %d must be >= 1", *queries)
+	}
+	if *interval < 1 {
+		fatal("-intervals %d must be >= 1", *interval)
+	}
+	if !(*rangeHi > 0) || math.IsInf(*rangeHi, 0) {
+		fatal("-range %v must be finite and > 0", *rangeHi)
 	}
 
 	var target *stats.TargetDistribution
@@ -96,6 +103,19 @@ func main() {
 		target = realworld.RedsetCost(0, *rangeHi, *interval, *queries)
 	default:
 		fatal("unknown distribution %q", *dist)
+	}
+	if err := target.Check(*queries); err != nil {
+		fatal("%s target over [0, %v] with %d intervals: %v", *dist, *rangeHi, *interval, err)
+	}
+
+	var db *engine.DB
+	switch strings.ToLower(*dataset) {
+	case "tpch":
+		db = engine.OpenTPCH(*seed, *sf)
+	case "imdb":
+		db = engine.OpenIMDB(*seed, *sf)
+	default:
+		fatal("unknown dataset %q (want tpch or imdb)", *dataset)
 	}
 
 	specs := realworld.RedsetSpecs(*seed)

@@ -245,11 +245,14 @@ func (s *SimLLM) RefineTemplate(ctx context.Context, req RefineRequest) (string,
 	cur, err := sqltemplate.Parse(req.TemplateSQL)
 	if err != nil {
 		// Refining garbage: synthesize fresh from any path.
-		paths := rankedPaths(req.Schema, 1, 20)
-		if len(paths) == 0 {
-			paths = req.Schema.JoinPaths(0, 10)
+		var path catalog.JoinPath
+		if ranked := rankedPaths(req.Schema, 1, 20); len(ranked) > 0 {
+			path = ranked[s.rng.Intn(len(ranked))].path
+		} else {
+			paths := req.Schema.JoinPaths(0, 10)
+			path = paths[s.rng.Intn(len(paths))]
 		}
-		sql := synthesize(synthOptions{schema: req.Schema, path: paths[s.rng.Intn(len(paths))], spec: req.Spec, rng: s.rng})
+		sql := synthesize(synthOptions{schema: req.Schema, path: path, spec: req.Spec, rng: s.rng})
 		s.charge(ctx, prompt, sql)
 		return sql, nil
 	}
@@ -274,16 +277,15 @@ func (s *SimLLM) RefineTemplate(ctx context.Context, req RefineRequest) (string,
 	}
 
 	paths := rankedPaths(req.Schema, numJoins, 64)
-	var candidates []catalog.JoinPath
+	var candidates []scoredPath
 	for _, p := range paths {
-		sc := pathScore(req.Schema, p)
-		if wantHigher && sc <= curScore {
+		if wantHigher && p.score <= curScore {
 			continue
 		}
-		if !wantHigher && sc >= curScore {
+		if !wantHigher && p.score >= curScore {
 			continue
 		}
-		if tried[tableSetKey(p.Tables)] {
+		if tried[tableSetKey(p.path.Tables)] {
 			continue
 		}
 		candidates = append(candidates, p)
@@ -293,7 +295,7 @@ func (s *SimLLM) RefineTemplate(ctx context.Context, req RefineRequest) (string,
 		// untried paths at the same join count, then to a re-roll of the
 		// same path with different predicate columns.
 		for _, p := range paths {
-			if !tried[tableSetKey(p.Tables)] {
+			if !tried[tableSetKey(p.path.Tables)] {
 				candidates = append(candidates, p)
 			}
 		}
@@ -302,23 +304,19 @@ func (s *SimLLM) RefineTemplate(ctx context.Context, req RefineRequest) (string,
 	if len(candidates) > 0 {
 		if wantHigher {
 			// Prefer the largest remaining structures.
-			sort.SliceStable(candidates, func(i, j int) bool {
-				return pathScore(req.Schema, candidates[i]) > pathScore(req.Schema, candidates[j])
-			})
+			sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].score > candidates[j].score })
 		} else {
-			sort.SliceStable(candidates, func(i, j int) bool {
-				return pathScore(req.Schema, candidates[i]) < pathScore(req.Schema, candidates[j])
-			})
+			sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].score < candidates[j].score })
 		}
 		top := 3
 		if len(candidates) < top {
 			top = len(candidates)
 		}
-		path = candidates[s.rng.Intn(top)]
+		path = candidates[s.rng.Intn(top)].path
 	} else {
 		path = catalog.JoinPath{Tables: curTables}
 		if len(paths) > 0 {
-			path = paths[s.rng.Intn(len(paths))]
+			path = paths[s.rng.Intn(len(paths))].path
 		}
 	}
 	sql := synthesize(synthOptions{schema: req.Schema, path: path, spec: req.Spec, rng: s.rng})

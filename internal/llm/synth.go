@@ -371,12 +371,20 @@ func pathScore(schema *catalog.Schema, path catalog.JoinPath) float64 {
 	return s
 }
 
-// rankedPaths returns all paths with numJoins edges sorted by ascending
-// score (limit caps enumeration).
-func rankedPaths(schema *catalog.Schema, numJoins, limit int) []catalog.JoinPath {
+// scoredPath is a join path with its pathScore, computed once.
+type scoredPath struct {
+	path  catalog.JoinPath
+	score float64
+}
+
+// rankedPaths returns all paths with numJoins edges, each scored once,
+// stably sorted by ascending score (limit caps enumeration).
+func rankedPaths(schema *catalog.Schema, numJoins, limit int) []scoredPath {
 	paths := schema.JoinPaths(numJoins, limit)
-	sort.SliceStable(paths, func(i, j int) bool {
-		return pathScore(schema, paths[i]) < pathScore(schema, paths[j])
-	})
-	return paths
+	ranked := make([]scoredPath, len(paths))
+	for i, p := range paths {
+		ranked[i] = scoredPath{path: p, score: pathScore(schema, p)}
+	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score < ranked[j].score })
+	return ranked
 }

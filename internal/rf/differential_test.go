@@ -42,6 +42,31 @@ func fuzzDataset(rng *rand.Rand, n, dims int) ([][]float64, []float64) {
 	return X, y
 }
 
+// signedZeroDataset draws a corpus built to stress the rank presort: every
+// feature takes values in {-0, +0, ±0.5}, so ±0 must share a rank and order
+// by draw, and about a third of the rows duplicate an earlier row outright.
+func signedZeroDataset(rng *rand.Rand, n, dims int) ([][]float64, []float64) {
+	vals := []float64{math.Copysign(0, -1), 0, 0.5, -0.5}
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		if i > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(i)
+			X[i], y[i] = append([]float64(nil), X[j]...), y[j]
+			continue
+		}
+		row := make([]float64, dims)
+		for f := range row {
+			row[f] = vals[rng.Intn(len(vals))]
+		}
+		X[i] = row
+		// Tenths are inexact in binary, so summing tied rows in another
+		// order changes a split score's rounding: a mis-ranked ±0 shows.
+		y[i] = row[0] + 0.1*float64(rng.Intn(7))
+	}
+	return X, y
+}
+
 // TestDifferentialFlatVsReference is the oracle gate of the flat rewrite:
 // across fuzzed corpora of assorted shapes, every tree of the flat forest
 // must predict exactly (float64 ==) what the naive pointer reference
@@ -50,35 +75,42 @@ func TestDifferentialFlatVsReference(t *testing.T) {
 	shapes := []struct{ n, dims, trees int }{
 		{4, 1, 4}, {7, 2, 8}, {25, 3, 8}, {60, 2, 8}, {120, 5, 16}, {300, 4, 8},
 	}
-	for round := 0; round < 12; round++ {
-		for _, sh := range shapes {
-			seed := int64(round*100 + sh.n)
-			rng := prand.New(seed, 0x666c6174) // "flat"
-			X, y := fuzzDataset(rng, sh.n, sh.dims)
-			opts := Options{NumTrees: sh.trees, MaxDepth: 2 + round%9, MinLeafSize: 1 + round%3}
+	corpora := []struct {
+		name string
+		gen  func(*rand.Rand, int, int) ([][]float64, []float64)
+	}{{"mixed", fuzzDataset}, {"signed-zero", signedZeroDataset}}
+	for _, corpus := range corpora {
+		for round := 0; round < 12; round++ {
+			for _, sh := range shapes {
+				seed := int64(round*100 + sh.n)
+				rng := prand.New(seed, 0x666c6174) // "flat"
+				X, y := corpus.gen(rng, sh.n, sh.dims)
+				opts := Options{NumTrees: sh.trees, MaxDepth: 2 + round%9, MinLeafSize: 1 + round%3}
 
-			flat := Train(rand.New(rand.NewSource(seed)), X, y, opts)
-			ref := ReferenceTrain(rand.New(rand.NewSource(seed)), X, y, opts)
-			if flat.NumTrees() != ref.NumTrees() {
-				t.Fatalf("n=%d dims=%d round=%d: tree counts %d vs %d",
-					sh.n, sh.dims, round, flat.NumTrees(), ref.NumTrees())
-			}
-			probes := append([][]float64(nil), X...)
-			for p := 0; p < 40; p++ {
-				probes = append(probes, fuzzPoint(rng, sh.dims))
-			}
-			for _, x := range probes {
-				for tr := 0; tr < flat.NumTrees(); tr++ {
-					got, want := flat.PredictTree(tr, x), ref.PredictTree(tr, x)
-					if got != want {
-						t.Fatalf("n=%d dims=%d round=%d tree=%d x=%v: flat %v != reference %v",
-							sh.n, sh.dims, round, tr, x, got, want)
-					}
+				flat := Train(rand.New(rand.NewSource(seed)), X, y, opts)
+				ref := ReferenceTrain(rand.New(rand.NewSource(seed)), X, y, opts)
+				if flat.NumTrees() != ref.NumTrees() {
+					t.Fatalf("%s n=%d dims=%d round=%d: tree counts %d vs %d",
+						corpus.name, sh.n, sh.dims, round, flat.NumTrees(), ref.NumTrees())
 				}
-				gm, gs := flat.Predict(x)
-				wm, ws := ref.Predict(x)
-				if gm != wm || gs != ws {
-					t.Fatalf("ensemble diverged at %v: flat (%v,%v) != reference (%v,%v)", x, gm, gs, wm, ws)
+				probes := append([][]float64(nil), X...)
+				for p := 0; p < 40; p++ {
+					probes = append(probes, fuzzPoint(rng, sh.dims))
+				}
+				for _, x := range probes {
+					for tr := 0; tr < flat.NumTrees(); tr++ {
+						got, want := flat.PredictTree(tr, x), ref.PredictTree(tr, x)
+						if got != want {
+							t.Fatalf("%s n=%d dims=%d round=%d tree=%d x=%v: flat %v != reference %v",
+								corpus.name, sh.n, sh.dims, round, tr, x, got, want)
+						}
+					}
+					gm, gs := flat.Predict(x)
+					wm, ws := ref.Predict(x)
+					if gm != wm || gs != ws {
+						t.Fatalf("%s: ensemble diverged at %v: flat (%v,%v) != reference (%v,%v)",
+							corpus.name, x, gm, gs, wm, ws)
+					}
 				}
 			}
 		}

@@ -6,19 +6,22 @@
 // flatNode records in one shared []flatNode (preorder, so a split's left
 // child is always the next record and only the right-child index is stored).
 // Training is allocation-free on the per-node hot path — a column-major
-// feature matrix is built once per Train, each tree presorts its bootstrap
-// sample once per feature, and every node reuses the tree's scratch buffers
-// for gathering, scoring, and stable in-place partitioning. Split search is
-// O(n log n) per feature per tree: one stable presort, then a single
-// prefix-sum sweep of (count, Σy, Σy²) scores every candidate threshold at a
-// node in O(n), instead of re-sorting and rescanning per candidate.
+// feature matrix and per-feature dense value ranks are built once per Train,
+// each tree presorts its bootstrap sample once per feature with a stable
+// counting sort by rank, and every node reuses the builder's scratch buffers
+// for gathering, scoring, and stable in-place partitioning. Sorting is
+// O(n log n) per feature per Train and O(n) per feature per tree; then a
+// single prefix-sum sweep of (count, Σy, Σy²) scores every candidate
+// threshold at a node in O(n), instead of re-sorting and rescanning per
+// candidate.
 //
 // Trees fit in parallel (Options.Workers) and merge in tree order; because
 // every tree's bootstrap sample and prand stream seed are drawn serially up
 // front from the caller's rng, the forest bytes are identical at any worker
-// count. reference.go keeps a deliberately naive pointer-based
-// implementation of the same algorithm as the differential-testing oracle
-// and benchmark baseline.
+// count. Each worker reuses one builder — buffers, node arena and reseeded
+// prand source — across all the trees it fits. reference.go keeps a
+// deliberately naive pointer-based implementation of the same algorithm as
+// the differential-testing oracle and benchmark baseline.
 package rf
 
 import (
@@ -104,6 +107,7 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 			cols[f*n+i] = row[f]
 		}
 	}
+	ranks, nRanks := rankColumns(cols, n, dims)
 	// Serial up-front draws: bootstrap samples and per-tree stream seeds.
 	// Nothing after this point touches the shared rng, so worker count can
 	// never change what a tree computes.
@@ -117,18 +121,23 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 		seeds[t] = rng.Int63()
 	}
 
-	perTree := make([][]flatNode, opts.NumTrees)
-	fit := func(t int) {
-		b := newTreeBuilder(cols, y, n, dims, opts, prand.New(seeds[t]))
-		perTree[t] = b.build(boots[t*n : (t+1)*n])
+	// One builder per worker, reused across its trees. A builder appends
+	// each tree's nodes to its own node arena; spans records where.
+	workers := min(opts.Workers, opts.NumTrees)
+	builders := make([]*treeBuilder, workers)
+	for w := range builders {
+		builders[w] = newTreeBuilder(cols, ranks, nRanks, y, n, dims, opts)
 	}
-	workers := opts.Workers
-	if workers > opts.NumTrees {
-		workers = opts.NumTrees
+	spans := make([]treeSpan, opts.NumTrees)
+	fit := func(w, t int) {
+		b := builders[w]
+		lo := len(b.nodes)
+		b.build(seeds[t], boots[t*n:(t+1)*n])
+		spans[t] = treeSpan{builder: w, lo: lo, hi: len(b.nodes)}
 	}
 	if workers <= 1 {
 		for t := 0; t < opts.NumTrees; t++ {
-			fit(t)
+			fit(0, t)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -138,7 +147,7 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 			go func() {
 				defer wg.Done()
 				for t := range next {
-					fit(t)
+					fit(w, t)
 				}
 			}()
 		}
@@ -150,22 +159,23 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 	}
 
 	// Ordered merge: concatenate per-tree node runs in tree order, rebasing
-	// right-child indices onto the shared array.
+	// right-child indices from the builder's arena onto the shared array.
 	total := 0
-	for _, ns := range perTree {
-		total += len(ns)
+	for _, sp := range spans {
+		total += sp.hi - sp.lo
 	}
 	f := &Forest{
 		nodes: make([]flatNode, 0, total),
 		roots: make([]int32, opts.NumTrees),
 		dims:  dims,
 	}
-	for t, ns := range perTree {
+	for t, sp := range spans {
 		off := int32(len(f.nodes))
 		f.roots[t] = off
-		for _, nd := range ns {
+		shift := off - int32(sp.lo)
+		for _, nd := range builders[sp.builder].nodes[sp.lo:sp.hi] {
 			if nd.feature != leafFeature {
-				nd.right += off
+				nd.right += shift
 			}
 			f.nodes = append(f.nodes, nd)
 		}
@@ -173,47 +183,84 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 	return f
 }
 
-// treeBuilder owns all scratch state for fitting one tree. Buffers are
-// allocated once in newTreeBuilder; the per-node recursion never allocates
-// (pinned by barbervet rule R010).
+// treeSpan locates one fitted tree: nodes [lo, hi) of a builder's arena.
+type treeSpan struct {
+	builder, lo, hi int
+}
+
+// rankColumns gives every sample its dense rank within each feature column:
+// ranks[f*n+i] is the number of distinct values of feature f below sample
+// i's, and nRanks[f] the number of distinct values. Equal values (±0
+// included, since features are non-NaN and compare with <) share a rank, so
+// a stable counting sort by rank orders a bootstrap exactly as a stable
+// sort by value does, ties in draw order.
+func rankColumns(cols []float64, n, dims int) (ranks []int32, nRanks []int) {
+	ranks = make([]int32, dims*n)
+	nRanks = make([]int, dims)
+	idx := make([]int32, n)
+	for f := 0; f < dims; f++ {
+		col := cols[f*n : (f+1)*n]
+		for i := range idx {
+			idx[i] = int32(i)
+		}
+		sort.Slice(idx, func(a, c int) bool { return col[idx[a]] < col[idx[c]] })
+		rk := ranks[f*n : (f+1)*n]
+		r := int32(0)
+		for k, i := range idx {
+			if k > 0 && col[idx[k-1]] < col[i] {
+				r++
+			}
+			rk[i] = r
+		}
+		nRanks[f] = int(r) + 1
+	}
+	return ranks, nRanks
+}
+
+// treeBuilder owns all scratch state for fitting trees on one worker.
+// Buffers are allocated once in newTreeBuilder and reused for every tree the
+// worker fits; the per-node recursion never allocates (pinned by barbervet
+// rule R010).
 type treeBuilder struct {
-	cols []float64 // column-major features, shared and read-only
-	y    []float64 // targets, shared and read-only
-	n    int       // sample count (= bootstrap size)
-	dims int
-	opts Options
-	rng  *rand.Rand
+	cols   []float64 // column-major features, shared and read-only
+	ranks  []int32   // per-feature dense value ranks, shared and read-only
+	nRanks []int     // distinct values per feature, shared and read-only
+	y      []float64 // targets, shared and read-only
+	n      int       // sample count (= bootstrap size)
+	dims   int
+	opts   Options
+	rng    *rand.Rand // reseeded per tree
 
 	// order holds dims+1 blocks of n indices over the bootstrap sample.
 	// Block 0 is row order (bootstrap draw order; leaf means and purity
 	// checks read it). Block f+1 is the sample stably sorted by feature f —
-	// sorted once here, then kept sorted through every split by stable
+	// sorted once per tree, then kept sorted through every split by stable
 	// partitioning, so nodes never re-sort.
 	order    []int32
 	scratch  []int32   // right-half staging for stable partition
+	counts   []int32   // counting-sort buckets, one per rank plus one
 	vals, ys []float64 // per-node gather buffers for the score sweep
 	featPerm []int     // persistent permutation for per-node feature draws
 	nodes    []flatNode
 }
 
-func newTreeBuilder(cols, y []float64, n, dims int, opts Options, rng *rand.Rand) *treeBuilder {
-	b := &treeBuilder{
+func newTreeBuilder(cols []float64, ranks []int32, nRanks []int, y []float64, n, dims int, opts Options) *treeBuilder {
+	return &treeBuilder{
 		cols:     cols,
+		ranks:    ranks,
+		nRanks:   nRanks,
 		y:        y,
 		n:        n,
 		dims:     dims,
 		opts:     opts,
-		rng:      rng,
+		rng:      prand.New(),
 		order:    make([]int32, (dims+1)*n),
 		scratch:  make([]int32, n),
+		counts:   make([]int32, n+1),
 		vals:     make([]float64, n),
 		ys:       make([]float64, n),
 		featPerm: make([]int, dims),
 	}
-	for f := range b.featPerm {
-		b.featPerm[f] = f
-	}
-	return b
 }
 
 // block returns the order block for feature f (block -1 is row order).
@@ -221,20 +268,35 @@ func (b *treeBuilder) block(f int) []int32 {
 	return b.order[(f+1)*b.n : (f+2)*b.n]
 }
 
-func (b *treeBuilder) build(bootstrap []int32) []flatNode {
+// build fits one tree on the bootstrap sample and appends its nodes to
+// b.nodes. Reseeding with Mix(seed) gives the tree the same stream
+// prand.New(seed) would, without a new source per tree.
+func (b *treeBuilder) build(seed int64, bootstrap []int32) {
+	b.rng.Seed(prand.Mix(seed))
+	for f := range b.featPerm {
+		b.featPerm[f] = f
+	}
 	copy(b.block(-1), bootstrap)
 	for f := 0; f < b.dims; f++ {
+		// Stable counting sort by rank: ties keep bootstrap order, so every
+		// node's sweep sees the same (value, y) sequence the reference
+		// oracle's stable sort by value produces.
+		rk := b.ranks[f*b.n : (f+1)*b.n]
+		counts := b.counts[:b.nRanks[f]+1]
+		clear(counts)
+		for _, i := range bootstrap {
+			counts[rk[i]+1]++
+		}
+		for r := 1; r < len(counts); r++ {
+			counts[r] += counts[r-1]
+		}
 		blk := b.block(f)
-		copy(blk, bootstrap)
-		base := f * b.n
-		// Stable: ties keep bootstrap order, so every node's sweep sees the
-		// same (value, y) sequence the reference oracle produces.
-		sort.SliceStable(blk, func(a, c int) bool {
-			return b.cols[base+int(blk[a])] < b.cols[base+int(blk[c])]
-		})
+		for _, i := range bootstrap {
+			blk[counts[rk[i]]] = i
+			counts[rk[i]]++
+		}
 	}
 	b.grow(0, b.n, 0)
-	return b.nodes
 }
 
 // grow fits the node over rows [lo, hi) of every order block and returns its
@@ -328,8 +390,7 @@ func (b *treeBuilder) partition(lo, hi, feat int, th float64) int {
 // sweep. vals must be ascending with ys aligned (the feature's stably sorted
 // view of the node's samples). Running prefix sums of (count, Σy, Σy²) give
 // each boundary's splitScore in O(1), so the whole node costs O(n) per
-// feature after the per-tree presort — the O(n log n) contract of the
-// package doc. Thresholds are the left group's maximum value; only splits
+// feature after the per-tree presort — the contract of the package doc. Thresholds are the left group's maximum value; only splits
 // leaving at least minLeaf samples per side are considered.
 func bestThreshold(vals, ys []float64, minLeaf int) (thresh, score float64, ok bool) {
 	m := len(vals)

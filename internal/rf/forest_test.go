@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -174,6 +175,30 @@ func TestTrainByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTrainAllocsDoNotScaleWithTrees pins builder reuse: a worker fits every
+// tree with one builder (buffers, node arena, reseeded prand source), so
+// doubling NumTrees from 16 to 32 may add at most one allocation per extra
+// tree — in practice only node-arena growth and larger up-front slices.
+func TestTrainAllocsDoNotScaleWithTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var X [][]float64
+	var y []float64
+	for i := 0; i < 60; i++ {
+		x := []float64{rng.Float64(), float64(rng.Intn(4)), rng.Float64()}
+		X = append(X, x)
+		y = append(y, x[0]+x[1])
+	}
+	allocs := func(trees int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			Train(rand.New(rand.NewSource(5)), X, y, Options{NumTrees: trees, Workers: 1})
+		})
+	}
+	a16, a32 := allocs(16), allocs(32)
+	if a32-a16 > 16 {
+		t.Fatalf("Train allocates per tree: %v allocs at 16 trees, %v at 32", a16, a32)
+	}
+}
+
 // TestPredictBatchMatchesPredict pins batched traversal against the
 // point-at-a-time path bit for bit, including the empty-forest prior.
 func TestPredictBatchMatchesPredict(t *testing.T) {
@@ -248,4 +273,27 @@ func TestConcurrentTrainAndPredictBatch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// BenchmarkTrain times one surrogate refit at the BO loop's shape: a few
+// dozen to a few hundred observations, 3 features, the default 16 trees,
+// one worker.
+func BenchmarkTrain(b *testing.B) {
+	for _, n := range []int{40, 200} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			X := make([][]float64, n)
+			y := make([]float64, n)
+			for i := range X {
+				X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+				y[i] = 3*X[i][0] + rng.NormFloat64()
+			}
+			b.ReportAllocs()
+			var seed int64
+			for b.Loop() {
+				seed++
+				Train(rand.New(rand.NewSource(seed)), X, y, Options{Workers: 1})
+			}
+		})
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"sqlbarber/internal/core"
@@ -147,35 +146,8 @@ func (r *JobRequest) normalize() error {
 		r.policy = &policy
 	}
 	r.tgt = r.buildTarget()
-	if err := checkTarget(r.tgt, r.Queries); err != nil {
+	if err := r.tgt.Check(r.Queries); err != nil {
 		return badReq("%s target over [0, %v] with %d intervals: %v", r.Distribution, r.RangeHi, r.Intervals, err)
-	}
-	return nil
-}
-
-// checkTarget rejects a degenerate target, such as the all-zero counts a
-// distribution yields when its weights underflow to NaN: the edges must be
-// finite and strictly increasing, and the counts non-negative and summing
-// to queries.
-func checkTarget(tgt *stats.TargetDistribution, queries int) error {
-	if len(tgt.Intervals) == 0 || len(tgt.Counts) != len(tgt.Intervals) {
-		return fmt.Errorf("%d intervals for %d counts", len(tgt.Intervals), len(tgt.Counts))
-	}
-	for i, iv := range tgt.Intervals {
-		if math.IsNaN(iv.Lo) || math.IsInf(iv.Lo, 0) || math.IsNaN(iv.Hi) || math.IsInf(iv.Hi, 0) ||
-			!(iv.Lo < iv.Hi) || (i > 0 && iv.Lo < tgt.Intervals[i-1].Hi) {
-			return fmt.Errorf("interval %d [%v, %v) breaks finite increasing edges", i, iv.Lo, iv.Hi)
-		}
-	}
-	total := 0
-	for i, c := range tgt.Counts {
-		if c < 0 {
-			return fmt.Errorf("interval %d has count %d", i, c)
-		}
-		total += c
-	}
-	if total != queries {
-		return fmt.Errorf("counts sum to %d, want %d", total, queries)
 	}
 	return nil
 }

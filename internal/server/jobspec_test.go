@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
 	"sqlbarber/internal/engine"
-	"sqlbarber/internal/stats"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -138,36 +136,13 @@ func TestNormalizeRejectsDegenerateTargets(t *testing.T) {
 				case err == nil && nanWeighted[dist]:
 					t.Fatalf("normalize accepted a NaN-weighted target: %v", r.tgt.Counts)
 				case err == nil:
-					if cerr := checkTarget(r.tgt, r.Queries); cerr != nil {
+					if cerr := r.tgt.Check(r.Queries); cerr != nil {
 						t.Fatalf("normalize accepted a bad target: %v", cerr)
 					}
 				case !errors.Is(err, ErrBadJobRequest):
 					t.Fatalf("normalize = %v, want ErrBadJobRequest", err)
 				}
 			})
-		}
-	}
-}
-
-func TestCheckTarget(t *testing.T) {
-	good := stats.Uniform(0, 100, 4, 10)
-	if err := checkTarget(good, 10); err != nil {
-		t.Fatalf("uniform target rejected: %v", err)
-	}
-	bad := map[string]func(d *stats.TargetDistribution){
-		"negative count": func(d *stats.TargetDistribution) { d.Counts[0], d.Counts[1] = -1, d.Counts[1]+d.Counts[0]+1 },
-		"short total":    func(d *stats.TargetDistribution) { d.Counts[0]-- },
-		"NaN edge":       func(d *stats.TargetDistribution) { d.Intervals[2].Hi = math.NaN() },
-		"infinite edge":  func(d *stats.TargetDistribution) { d.Intervals[3].Hi = math.Inf(1) },
-		"empty interval": func(d *stats.TargetDistribution) { d.Intervals[1].Hi = d.Intervals[1].Lo },
-		"overlap":        func(d *stats.TargetDistribution) { d.Intervals[2].Lo = d.Intervals[1].Lo },
-		"no intervals":   func(d *stats.TargetDistribution) { d.Intervals, d.Counts = nil, nil },
-	}
-	for name, mutate := range bad {
-		d := good.Clone()
-		mutate(d)
-		if err := checkTarget(d, 10); err == nil {
-			t.Errorf("%s: checkTarget accepted %+v", name, d)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 )
 
@@ -18,6 +19,33 @@ func (d *TargetDistribution) Total() int {
 		t += c
 	}
 	return t
+}
+
+// Check rejects a degenerate target, such as the all-zero counts a
+// distribution yields when its weights underflow to NaN: the edges must be
+// finite and strictly increasing, and the counts non-negative and summing
+// to total. The CLI and the job service both validate through it.
+func (d *TargetDistribution) Check(total int) error {
+	if len(d.Intervals) == 0 || len(d.Counts) != len(d.Intervals) {
+		return fmt.Errorf("%d intervals for %d counts", len(d.Intervals), len(d.Counts))
+	}
+	for i, iv := range d.Intervals {
+		if math.IsNaN(iv.Lo) || math.IsInf(iv.Lo, 0) || math.IsNaN(iv.Hi) || math.IsInf(iv.Hi, 0) ||
+			!(iv.Lo < iv.Hi) || (i > 0 && iv.Lo < d.Intervals[i-1].Hi) {
+			return fmt.Errorf("interval %d [%v, %v) breaks finite increasing edges", i, iv.Lo, iv.Hi)
+		}
+	}
+	sum := 0
+	for i, c := range d.Counts {
+		if c < 0 {
+			return fmt.Errorf("interval %d has count %d", i, c)
+		}
+		sum += c
+	}
+	if sum != total {
+		return fmt.Errorf("counts sum to %d, want %d", sum, total)
+	}
+	return nil
 }
 
 // Clone returns a deep copy.

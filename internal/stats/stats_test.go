@@ -306,3 +306,26 @@ func TestIntervalString(t *testing.T) {
 		t.Errorf("String() = %q", iv.String())
 	}
 }
+
+func TestTargetDistributionCheck(t *testing.T) {
+	good := Uniform(0, 100, 4, 10)
+	if err := good.Check(10); err != nil {
+		t.Fatalf("uniform target rejected: %v", err)
+	}
+	bad := map[string]func(d *TargetDistribution){
+		"negative count": func(d *TargetDistribution) { d.Counts[0], d.Counts[1] = -1, d.Counts[1]+d.Counts[0]+1 },
+		"short total":    func(d *TargetDistribution) { d.Counts[0]-- },
+		"NaN edge":       func(d *TargetDistribution) { d.Intervals[2].Hi = math.NaN() },
+		"infinite edge":  func(d *TargetDistribution) { d.Intervals[3].Hi = math.Inf(1) },
+		"empty interval": func(d *TargetDistribution) { d.Intervals[1].Hi = d.Intervals[1].Lo },
+		"overlap":        func(d *TargetDistribution) { d.Intervals[2].Lo = d.Intervals[1].Lo },
+		"no intervals":   func(d *TargetDistribution) { d.Intervals, d.Counts = nil, nil },
+	}
+	for name, mutate := range bad {
+		d := good.Clone()
+		mutate(d)
+		if err := d.Check(10); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, d)
+		}
+	}
+}

@@ -15,7 +15,7 @@
 #                              changes goroutine interleavings enough to shake
 #                              out scheduling-dependent results the default
 #                              pass can miss
-#   5. go test -fuzz (sqlparser and ANALYZE smokes)
+#   5. go test -fuzz (sqlparser, ANALYZE and prand smokes)
 #                            — 10-second native-fuzzing smokes over the two
 #                              sqlparser fuzz targets: FuzzParse checks the
 #                              render ∘ parse round-trip fixpoint on arbitrary
@@ -28,7 +28,11 @@
 #                              requires the sort-and-scan ANALYZE to return
 #                              exactly the hash-map reference's statistics on
 #                              fuzzed columns (ties, ±0, NaN, ±Inf, NULLs,
-#                              mixed kinds, booleans)
+#                              mixed kinds, booleans). A fourth, prand's
+#                              FuzzSourceMatchesMathRand, requires the lazily
+#                              seeded prand.Source to draw exactly what
+#                              math/rand's default source draws for fuzzed
+#                              seeds, stream lengths and mid-stream re-seeds
 #   6. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -122,10 +126,11 @@ go test -race -shuffle=on ./...
 echo "== GOMAXPROCS=2 go test -race ./... =="
 GOMAXPROCS=2 go test -race ./...
 
-echo "== go test -fuzz (sqlparser and ANALYZE fuzz smokes, 10s per target) =="
+echo "== go test -fuzz (sqlparser, ANALYZE and prand fuzz smokes, 10s per target) =="
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlparser
 go test -run '^$' -fuzz '^FuzzPlaceholderRewrite$' -fuzztime 10s ./internal/sqlparser
 go test -run '^$' -fuzz '^FuzzAnalyzeDifferential$' -fuzztime 10s ./internal/storage
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/prand
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
